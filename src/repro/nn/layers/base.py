@@ -1,8 +1,9 @@
 """Layer and Parameter abstractions.
 
-Every layer implements ``forward``/``backward`` with cached intermediates, and
-exposes its learnable state as named :class:`Parameter` objects so optimizers
-and regularizers can iterate over them uniformly.
+Every layer implements ``forward``/``backward``, caching what backward needs
+only in training mode, and exposes its learnable state as named
+:class:`Parameter` objects so optimizers and regularizers can iterate over
+them uniformly.
 """
 
 from __future__ import annotations
@@ -75,7 +76,13 @@ class Layer:
     name -> Parameter) and implement :meth:`forward` and :meth:`backward`.
     ``backward`` receives the gradient w.r.t. the layer output and must return
     the gradient w.r.t. the layer input, while accumulating parameter
-    gradients into each ``Parameter.grad``.
+    gradients into each ``Parameter.grad``.  Layers with parameters also take
+    ``need_input_grad``: when False they accumulate parameter gradients only
+    and return None, which is all the first layer of a network has to do.
+
+    Whatever a training-mode ``forward`` keeps for ``backward`` lives in
+    ``self._cache``; an eval-mode ``forward`` leaves it None, so inference
+    holds no batch alive, and a following ``backward`` raises RuntimeError.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -83,6 +90,7 @@ class Layer:
         self.training = True
         self._params: dict[str, Parameter] = {}
         self._scratch_buffers: dict[str, np.ndarray] = {}
+        self._cache = None
 
     # -- parameter management -------------------------------------------------
 
@@ -134,6 +142,21 @@ class Layer:
             buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
             self._scratch_buffers[key] = buf
         return buf
+
+    # -- backward state ----------------------------------------------------------
+
+    def _keep(self, value):
+        """``value`` as the backward cache in training mode, else None."""
+        self._cache = value if self.training else None
+        return value
+
+    def _cached(self):
+        """The cache of the last training-mode forward; raises without one."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{self.name}: backward called before a training-mode forward"
+            )
+        return self._cache
 
     # -- mode switches ---------------------------------------------------------
 

@@ -76,8 +76,6 @@ class Conv2D(Layer):
         self.weight = self.add_parameter("weight", init(w_shape, rng))
         self.bias = self.add_parameter("bias", np.zeros(out_channels)) if bias else None
 
-        self._cache: tuple | None = None
-
     # -- geometry ----------------------------------------------------------------
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,17 +168,13 @@ class Conv2D(Layer):
         if self.bias is not None:
             out += self.bias.data.reshape(1, -1, 1, 1)
 
-        self._cache = (
-            (x.shape, cols_per_group, out_h, out_w, fast) if self.training else None
-        )
+        self._keep((x.shape, cols_per_group, out_h, out_w, fast))
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(
-                f"{self.name}: backward called before a training-mode forward"
-            )
-        x_shape, cols_per_group, out_h, out_w, fast = self._cache
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        x_shape, cols_per_group, out_h, out_w, fast = self._cached()
         # The cached im2col buffers are consumed by this pass; without scratch
         # reuse they are freed as soon as the weight-gradient GEMM is done.
         self._cache = None
@@ -192,11 +186,15 @@ class Conv2D(Layer):
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=(0, 2, 3))
 
-        grad_in = np.empty(
-            x_shape, dtype=np.result_type(grad_out.dtype, self.weight.data.dtype)
-        )
+        grad_in = None
+        if need_input_grad:
+            grad_in = np.empty(
+                x_shape, dtype=np.result_type(grad_out.dtype, self.weight.data.dtype)
+            )
         if fast:
-            return self._backward_fast(grad_out, grad_in, cols_per_group, out_h, out_w)
+            return self._backward_fast(
+                grad_out, grad_in, cols_per_group, x_shape, out_h, out_w
+            )
         for gi in range(g):
             go = grad_out[:, gi * cout_g:(gi + 1) * cout_g]
             go_mat = go.transpose(0, 2, 3, 1).reshape(-1, cout_g)
@@ -208,6 +206,8 @@ class Conv2D(Layer):
                 (go_mat.T @ cols).reshape(cout_g, cin_g, self.kernel_h, self.kernel_w)
             )
             del cols
+            if grad_in is None:
+                continue
 
             if self.stride == 1 and self.kernel_h == self.kernel_w:
                 # Transposed convolution: grad_in is the correlation of
@@ -238,14 +238,18 @@ class Conv2D(Layer):
     def _backward_fast(
         self,
         grad_out: np.ndarray,
-        grad_in: np.ndarray,
+        grad_in: np.ndarray | None,
         cols_per_group: list,
+        x_shape: tuple[int, ...],
         out_h: int,
         out_w: int,
-    ) -> np.ndarray:
-        """Backward against channel-major cached columns and scratch buffers."""
-        n = grad_in.shape[0]
-        in_h, in_w = grad_in.shape[2], grad_in.shape[3]
+    ) -> np.ndarray | None:
+        """Backward against channel-major cached columns and scratch buffers.
+
+        ``grad_in`` is the input-gradient array to fill, or None to compute
+        the parameter gradients only.
+        """
+        n, _, in_h, in_w = x_shape
         g = self.groups
         cin_g = self.in_channels // g
         cout_g = self.out_channels // g
@@ -268,6 +272,8 @@ class Conv2D(Layer):
                 )
             )
             del cols
+            if grad_in is None:
+                continue
 
             if self.stride == 1 and self.kernel_h == self.kernel_w:
                 # Adjoint accumulation (kn2row): one GEMM per kernel offset

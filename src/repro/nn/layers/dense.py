@@ -37,8 +37,6 @@ class Dense(Layer):
         self.weight = self.add_parameter("weight", init((in_features, out_features), rng))
         self.bias = self.add_parameter("bias", np.zeros(out_features)) if bias else None
 
-        self._x: np.ndarray | None = None
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         (features,) = input_shape
         if features != self.in_features:
@@ -54,16 +52,15 @@ class Dense(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"{self.name}: expected 2-D input, got shape {x.shape}")
-        self._x = x
-        out = x @ self.weight.data
+        out = self._keep(x) @ self.weight.data
         if self.bias is not None:
             out += self.bias.data  # in place: the GEMM output is ours to reuse
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        self.weight.grad += self._x.T @ grad_out
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        self.weight.grad += self._cached().T @ grad_out
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.data.T
+        return grad_out @ self.weight.data.T if need_input_grad else None

@@ -22,17 +22,17 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = np.random.default_rng(seed)
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
+        if not self.training:
+            self._cache = None
+            return x
+        if self.rate == 0.0:
+            self._cache = 1.0  # identity: backward scales by one
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = self._keep((self._rng.random(x.shape) < keep) / keep)
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
+        return grad_out * self._cached()

@@ -50,11 +50,11 @@ class LocalResponseNorm(Layer):
         ssq = self._window_sum_sq(x)
         denom = self.k + (self.alpha / self.size) * ssq
         out = x / denom ** self.beta
-        self._cache = (x, denom, out)
+        self._keep((x, denom, out))
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, denom, out = self._cache
+        x, denom, out = self._cached()
         # d y_c / d x_c term (diagonal); cross-channel terms use the same
         # windowed-sum trick applied to grad_out * out / denom.
         ratio = grad_out * out / denom
@@ -120,15 +120,19 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
         std = np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(shape)) / std.reshape(shape)
-        self._cache = (x_hat, std, axes, shape)
+        self._keep((x_hat, std, axes, shape))
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_hat, std, axes, shape = self._cache
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        x_hat, std, axes, shape = self._cached()
         m = grad_out.size // self.num_features
 
         self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
+        if not need_input_grad:
+            return None
 
         g = grad_out * self.gamma.data.reshape(shape)
         sum_g = g.sum(axis=axes, keepdims=True)

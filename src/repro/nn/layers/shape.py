@@ -16,8 +16,8 @@ class Flatten(Layer):
         return (int(np.prod(input_shape)),)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._keep(x.shape)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(self._cached())

@@ -63,10 +63,30 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate ``grad`` (w.r.t. the output), accumulating parameter
+        gradients; returns the gradient w.r.t. the network input.
+
+        With ``need_input_grad=False`` only parameter gradients are computed
+        and None is returned: the first layer with parameters skips its input
+        gradient, and the parameter-free layers below it are not visited.
+        For a first convolution that input gradient costs several times its
+        weight gradient, and a trainer never reads it.
+        """
+        layers = self.layers
+        if need_input_grad:
+            for layer in reversed(layers):
+                grad = layer.backward(grad)
+            return grad
+        first = next((i for i, layer in enumerate(layers) if layer.num_parameters), None)
+        if first is None:
+            return None
+        for layer in reversed(layers[first + 1:]):
             grad = layer.backward(grad)
-        return grad
+        layers[first].backward(grad, need_input_grad=False)
+        return None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -200,7 +200,7 @@ class Trainer:
                     logits = self.model.forward(xb)
                     loss = self.loss_fn(logits, yb)
                     self.model.zero_grad()
-                    self.model.backward(self.loss_fn.backward())
+                    self.model.backward(self.loss_fn.backward(), need_input_grad=False)
                     if self.regularizer is not None and prox is None:
                         self.regularizer.add_gradients(self.model)
                     if cfg.max_grad_norm:

@@ -401,3 +401,99 @@ class TestBatchNorm:
     def test_rejects_3d(self, rng):
         with pytest.raises(ValueError):
             BatchNorm(3).forward(rng.normal(size=(2, 3, 4)))
+
+
+_rng = np.random.default_rng(11)
+_IMG = _rng.normal(size=(2, 4, 6, 6))
+_FLAT = _rng.normal(size=(3, 6))
+#: One small instance of every layer kind, with a matching input.
+EVERY_LAYER = [
+    (Conv2D(4, 2, 3, padding=1, rng=_rng), _IMG),
+    (Dense(6, 3, rng=_rng), _FLAT),
+    (ReLU(), _FLAT),
+    (Sigmoid(), _FLAT),
+    (Tanh(), _FLAT),
+    (MaxPool2D(2, 2), _IMG),
+    (AvgPool2D(3, 2), _IMG),
+    (Flatten(), _IMG),
+    (Dropout(0.5), _FLAT),
+    (LocalResponseNorm(3), _IMG),
+    (BatchNorm(4), _IMG),
+]
+
+
+class TestEvalModeCachesNothing:
+    """Inference must not keep the last batch alive in any layer."""
+
+    def test_every_layer_kind_is_covered(self):
+        import repro.nn.layers as layers
+
+        kinds = {
+            getattr(layers, name) for name in layers.__all__
+            if isinstance(getattr(layers, name), type)
+            and issubclass(getattr(layers, name), layers.Layer)
+        } - {layers.Layer}
+        assert kinds == {type(layer) for layer, _ in EVERY_LAYER}
+
+    @pytest.mark.parametrize(
+        "layer,x", EVERY_LAYER, ids=[type(layer).__name__ for layer, _ in EVERY_LAYER]
+    )
+    def test_eval_forward_caches_nothing(self, layer, x):
+        layer.train()
+        out = layer.forward(x)  # a training forward first fills the cache
+        assert layer._cache is not None
+        layer.eval()
+        before = {k: v for k, v in vars(layer).items() if k != "_cache"}
+        out = layer.forward(x)
+        assert layer._cache is None
+        # No attribute was added or rebound to hold the batch.
+        after = {k: v for k, v in vars(layer).items() if k != "_cache"}
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in after)
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            layer.backward(np.ones_like(out))
+
+
+class TestParameterOnlyBackward:
+    """``need_input_grad=False`` computes the same parameter gradients, bit
+    for bit, and returns None."""
+
+    def _grads(self, layer, x, g, need_input_grad):
+        layer.forward(x)
+        layer.zero_grad()
+        result = layer.backward(g, need_input_grad=need_input_grad)
+        return result, [p.grad.copy() for p in layer.parameters()]
+
+    def _check(self, make, x):
+        layer = make()
+        g = np.random.default_rng(5).normal(size=layer.forward(x).shape)
+        full, want = self._grads(make(), x, g, True)
+        none, got = self._grads(layer, x, g, False)
+        assert full is not None and none is None
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("reuse", ["1", "0"])
+    @pytest.mark.parametrize("stride,groups", [(1, 1), (1, 2), (2, 1)])
+    def test_conv(self, rng, monkeypatch, reuse, stride, groups):
+        monkeypatch.setenv("REPRO_BUFFER_REUSE", reuse)
+        x = rng.normal(size=(2, 4, 7, 7))
+
+        def make():
+            return Conv2D(4, 6, 3, stride=stride, padding=1, groups=groups,
+                          rng=np.random.default_rng(2))
+
+        self._check(make, x)
+
+    def test_conv_skips_input_gradient_buffers(self, rng):
+        conv = Conv2D(2, 3, 5, padding=2, rng=rng)
+        out = conv.forward(rng.normal(size=(2, 2, 8, 8)))
+        conv.backward(np.ones_like(out), need_input_grad=False)
+        assert not {"gx_pad", "gin"} & conv._scratch_buffers.keys()
+
+    def test_dense(self, rng):
+        self._check(lambda: Dense(5, 3, rng=np.random.default_rng(2)),
+                    rng.normal(size=(4, 5)))
+
+    def test_batchnorm(self, rng):
+        self._check(lambda: BatchNorm(3), rng.normal(size=(6, 3, 2, 2)))

@@ -132,3 +132,38 @@ class TestSequential:
         net = small_net()
         expected = (4 * 1 * 9 + 4) + (36 * 5 + 5)
         assert net.num_parameters == expected
+
+
+class TestParameterOnlyBackward:
+    def _backward(self, net, x, need_input_grad):
+        loss = SoftmaxCrossEntropy()
+        loss(net.forward(x), np.arange(x.shape[0]) % 5)
+        net.zero_grad()
+        result = net.backward(loss.backward(), need_input_grad=need_input_grad)
+        return result, {name: p.grad.copy() for name, p in net.named_parameters()}
+
+    def test_same_parameter_gradients_and_no_input_gradient(self, rng):
+        x = rng.normal(size=(4, 1, 6, 6))
+        full, want = self._backward(small_net(), x, True)
+        none, got = self._backward(small_net(), x, False)
+        assert full.shape == x.shape and none is None
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_parameter_free_leading_layers_are_skipped(self, rng):
+        net = Sequential(
+            [Flatten(name="flatten"), Dense(36, 5, name="ip1", rng=rng)],
+            input_shape=(1, 6, 6),
+        )
+        seen = []
+        flatten = net.layers[0]
+        flatten.backward = lambda grad: seen.append(grad)
+        none, grads = self._backward(net, rng.normal(size=(3, 1, 6, 6)), False)
+        assert none is None and not seen
+        assert np.any(grads["ip1.weight"] != 0)
+
+    def test_parameter_free_network(self, rng):
+        net = Sequential([Flatten(), ReLU()])
+        net.forward(rng.normal(size=(2, 3, 2, 2)))
+        assert net.backward(np.ones((2, 12)), need_input_grad=False) is None
