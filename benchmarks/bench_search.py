@@ -10,7 +10,9 @@ miniature; run as a script it records the full report::
 
 Three sections per benchmark network (lenet / convnet / alexnet, 16 cores):
 
-* **throughput** — ``PlanCostOracle.batch_cost`` over a seeded batch of
+* **throughput** — plus a 64-core convnet case (``convnet_64``: the 8x8
+  mesh, where the oracle's table build is largest) —
+  ``PlanCostOracle.batch_cost`` over a seeded batch of
   4096 valid degree configs vs the engine-per-plan baseline
   (``build_degree_plan`` + ``InferenceSimulator`` in analytical comm mode,
   drain memo off so the baseline pays for its drains) on a subset.  Both
@@ -62,6 +64,16 @@ except ImportError:  # script execution: no pytest session
 NETWORKS = (lenet_spec, convnet_spec, alexnet_spec)
 NUM_CORES = 16
 
+#: Throughput cases: (case name, network, cores).  The 16-core networks
+#: plus ConvNet on the 64-core (8x8) mesh, the shape whose table build
+#: dominates a cold plan search.
+THROUGHPUT_CASES = (
+    ("lenet", lenet_spec, NUM_CORES),
+    ("convnet", convnet_spec, NUM_CORES),
+    ("alexnet", alexnet_spec, NUM_CORES),
+    ("convnet_64", convnet_spec, 64),
+)
+
 #: Candidate batch the oracle is timed on, and the engine subset it races.
 BATCH_CANDIDATES = 4096
 ENGINE_SUBSET = 8
@@ -78,14 +90,14 @@ MIN_RANK_CORRELATION = 0.95
 DEFAULT_CALIBRATION_K = 16
 
 
-def _engine_baseline_sim() -> InferenceSimulator:
+def _engine_baseline_sim(num_cores: int = NUM_CORES) -> InferenceSimulator:
     """The per-plan costing baseline: analytical comm, no drain memo.
 
     ``comm_cache=False`` keeps the race honest — with the persistent memo
     on, a second run would score disk hits against the oracle's arithmetic.
     """
     return InferenceSimulator(
-        ChipConfig.table2(NUM_CORES),
+        ChipConfig.table2(num_cores),
         SimConfig(comm_mode="analytical", comm_cache=False),
     )
 
@@ -104,14 +116,14 @@ def _grid_configs(oracle: PlanCostOracle, grid) -> list[tuple[int, ...]]:
     return [tuple(oracle.degrees[i] for i in row) for row in grid]
 
 
-def throughput_case(spec_fn, rounds: int) -> dict:
+def throughput_case(spec_fn, rounds: int, num_cores: int = NUM_CORES) -> dict:
     """Time oracle construction + batch costing vs the engine-per-plan path."""
     spec = spec_fn()
 
     build_s = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        oracle = PlanCostOracle(spec, NUM_CORES)
+        oracle = PlanCostOracle(spec, num_cores)
         build_s = min(build_s, time.perf_counter() - t0)
 
     grid = _sample_index_grid(oracle, BATCH_CANDIDATES)
@@ -122,15 +134,15 @@ def throughput_case(spec_fn, rounds: int) -> dict:
         costs = oracle.batch_cost(grid)
         batch_s = min(batch_s, time.perf_counter() - t0)
 
-    sim = _engine_baseline_sim()
+    sim = _engine_baseline_sim(num_cores)
     subset = _grid_configs(oracle, grid[:ENGINE_SUBSET])
-    sim.simulate(build_degree_plan(spec, NUM_CORES, subset[0]))  # warm-up
+    sim.simulate(build_degree_plan(spec, num_cores, subset[0]))  # warm-up
     engine_s = float("inf")
     engine_cycles: list[int] = []
     for _ in range(rounds):
         t0 = time.perf_counter()
         engine_cycles = [
-            sim.simulate(build_degree_plan(spec, NUM_CORES, cfg)).total_cycles
+            sim.simulate(build_degree_plan(spec, num_cores, cfg)).total_cycles
             for cfg in subset
         ]
         engine_s = min(engine_s, time.perf_counter() - t0)
@@ -139,13 +151,16 @@ def throughput_case(spec_fn, rounds: int) -> dict:
     exact = all(
         abs(eng - costs[k]) < 1e-6 for k, eng in enumerate(engine_cycles)
     )
-    assert exact, f"{spec.name}: oracle diverges from engine analytical mode"
+    assert exact, (
+        f"{spec.name}@{num_cores}: oracle diverges from engine analytical mode"
+    )
 
     engine_per_cfg = engine_s / len(subset)
     marginal = engine_per_cfg / (batch_s / BATCH_CANDIDATES)
     amortized = engine_per_cfg / ((build_s + batch_s) / BATCH_CANDIDATES)
     return {
         "model": spec.name,
+        "cores": num_cores,
         "batch_candidates": BATCH_CANDIDATES,
         "engine_subset": len(subset),
         "oracle_build_s": round(build_s, 6),
@@ -248,11 +263,11 @@ def main() -> None:
         parser.error("--calibration-k must be >= 2 (rank correlation needs a range)")
 
     throughput: dict[str, dict] = {}
-    for spec_fn in NETWORKS:
-        row = throughput_case(spec_fn, args.rounds)
-        throughput[row["model"]] = row
+    for name, spec_fn, cores in THROUGHPUT_CASES:
+        row = throughput_case(spec_fn, args.rounds, cores)
+        throughput[name] = row
         print(
-            f"{row['model']:>8}: oracle build {row['oracle_build_s'] * 1e3:6.1f} ms + "
+            f"{name:>10}: oracle build {row['oracle_build_s'] * 1e3:6.1f} ms + "
             f"batch({row['batch_candidates']}) {row['oracle_batch_s'] * 1e3:6.2f} ms   "
             f"engine({row['engine_subset']}) {row['engine_subset_s'] * 1e3:7.1f} ms   "
             f"speedup {row['speedup_amortized']:8.1f}x amortized "

@@ -103,7 +103,7 @@ def _link_loads_walked(traffic, mesh, config):
     """Reference per-burst link loads: walk ``xy_route_path`` per pair.
 
     This is the work :func:`repro.noc.analytical.link_loads` did before the
-    cached per-shape route-usage matrix reduced it to one integer matmul —
+    cached per-shape route-usage matrix reduced it to one matmul —
     kept here as the baseline the ``routing_cache`` note is measured against.
     """
     flits = message_flits(traffic.bytes_matrix, config)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packet import NoCConfig, segment_message
+from .packet import NoCConfig, message_flits
 from .routing import route_tables
 from .topology import Mesh2D
 from .traffic import TrafficMatrix
@@ -51,41 +51,13 @@ class AnalyticalEstimate:
         return max(self.source_bound, self.sink_bound, self.link_bound) + self.head_latency
 
 
-def message_flits(bytes_matrix: np.ndarray, config: NoCConfig) -> np.ndarray:
-    """Element-wise flit count of each (src, dst) message, any array shape.
-
-    A message of ``b > 0`` bytes segments into ``ceil(b / packet_payload)``
-    packets, each contributing one head flit, plus ``ceil(b / flit_bytes)``
-    payload flits in total (the packet payload capacity is a whole number of
-    flits, so payload flits never fragment across the split).  This is the
-    closed form of summing ``Packet.num_flits`` over
-    :func:`~repro.noc.packet.segment_message`, and the vectorized inner loop
-    of both the per-burst estimate below and the batched plan-cost oracle.
-    """
-    b = np.asarray(bytes_matrix).astype(np.int64, copy=False)
-    heads = -(b // -config.packet_payload_bytes)
-    payload = -(b // -config.flit_bytes)
-    return heads + payload
-
-
-def _flits_of(num_bytes: int, src: int, dst: int, config: NoCConfig) -> int:
-    """Reference (packet-walking) flit count; tests pin it to message_flits."""
-    if num_bytes == 0:
-        return 0
-    return sum(p.num_flits for p in segment_message(src, dst, num_bytes, config))
-
-
 def link_loads(
     traffic: TrafficMatrix, mesh: Mesh2D, config: NoCConfig
 ) -> dict[tuple[int, int], int]:
     """Flits crossing each unidirectional link under XY routing."""
     tables = route_tables(mesh)
     flits = message_flits(traffic.bytes_matrix, config).reshape(-1)
-    # Burst matrices are usually sparse (a layer's redistribution touches a
-    # few pairs), so gather the active rows before the matmul: the product
-    # shrinks from (N², L) to (nnz, L) and beats walking routes per pair.
-    active = np.flatnonzero(flits)
-    loads = flits[active] @ tables.usage[active]
+    loads = tables.link_flits(flits)
     return {
         link: int(load) for link, load in zip(tables.links, loads) if load
     }
@@ -108,9 +80,7 @@ def estimate_drain_cycles(
     in_flits = flits.sum(axis=0)
     active = flits > 0
     max_pair_hops = int(tables.hops[active].max()) if active.any() else 0
-    flat = flits.reshape(-1)
-    nonzero = np.flatnonzero(flat)  # same sparse gather as link_loads
-    worst_link = int((flat[nonzero] @ tables.usage[nonzero]).max(initial=0))
+    worst_link = int(tables.link_flits(flits.reshape(-1)).max(initial=0))
 
     # Matches the cycle-level model: ST is the last pipeline stage, so a hop
     # costs stages + link - 1 cycles after the initial pipeline fill.

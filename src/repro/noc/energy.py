@@ -94,9 +94,7 @@ class NoCEnergyModel:
         cross-check of the simulator's event accounting.
         """
         flit_hops = traffic.total_flit_hops(mesh, config)
-        total_flits = sum(
-            p.num_flits for p in traffic.to_packets(config)
-        )
+        total_flits = traffic.total_flits(config)
         # Hop events plus the terminal ejection events at the destination.
         rw = flit_hops + total_flits
         return EnergyBreakdown(

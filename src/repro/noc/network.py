@@ -44,10 +44,11 @@ on *every* cycle.  This engine only does work that can change state:
   and which are allocated to each output port, so VC allocation and switch
   allocation touch exactly the VCs that matter instead of scanning all of
   them;
-* every packet's XY route is computed once at injection
-  (:func:`~repro.noc.routing.xy_route_ports`) and the per-hop output port is
-  looked up from the flit instead of re-deriving it for every waiting head
-  flit every cycle;
+* every packet's XY route is looked up once at injection from the port
+  table of the mesh shape's cached :func:`~repro.noc.routing.route_tables`
+  (shared by every simulator on that shape, built once per process), and
+  the per-hop output port is looked up from the flit instead of re-deriving
+  it for every waiting head flit every cycle;
 * the injection queue is a heap ordered by ``(injection_cycle, seq)``
   rather than a re-sorted list with O(n) ``pop(0)``.
 
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 from ..obs.metrics import METRICS
 from ..obs.nocprof import NoCProfile
 from .packet import Flit, NoCConfig, Packet
-from .routing import xy_route_ports
+from .routing import route_tables
 from .topology import LOCAL, OPPOSITE, Mesh2D
 
 __all__ = ["NoCSimulator", "NoCStats", "EnergyEvents"]
@@ -190,8 +191,10 @@ def _accumulate_profile(
         )
     link = profile.link_flits
     router = profile.router_flits
+    routes = route_tables(mesh).ports
+    num_nodes = mesh.num_nodes
     for p in delivered:
-        route = p.route if p.route is not None else xy_route_ports(mesh, p.src, p.dst)
+        route = p.route if p.route is not None else routes[p.src * num_nodes + p.dst]
         node = p.src
         n = p.num_flits
         for port in route:
@@ -248,7 +251,8 @@ class NoCSimulator:
         # among packets due on the same cycle.
         self._pending_packets: list[tuple[int, int, Packet]] = []
         self._pending_seq = 0
-        self._route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Per-pair XY port routes, indexed src * num_nodes + dst.
+        self._routes = route_tables(mesh).ports
         # Per-node injection: FIFO of packets, plus the VC the open packet uses.
         self._inject_fifo: list[deque[Flit]] = [deque() for _ in range(mesh.num_nodes)]
         self._inject_vc: list[int] = [-1] * mesh.num_nodes
@@ -293,8 +297,10 @@ class NoCSimulator:
     def inject(self, packets: list[Packet]) -> None:
         """Queue packets for injection at their ``injection_cycle``.
 
-        Each packet's full XY route is resolved here, once, and stored on the
-        packet; head flits then carry a hop index into it.
+        Each packet's full XY route is looked up here, once, from the shared
+        route table and stored on the packet; head flits then carry a hop
+        index into it.  Raises ``ValueError`` for a src or dst outside the
+        mesh.
         """
         for p in packets:
             self.mesh._check(p.src)
@@ -305,13 +311,10 @@ class NoCSimulator:
                 sum(p.num_flits for p in packets),
                 engine=self._ENGINE,
             )
-        cache = self._route_cache
+        routes = self._routes
+        n = self.mesh.num_nodes
         for p in packets:
-            route = cache.get((p.src, p.dst))
-            if route is None:
-                route = xy_route_ports(self.mesh, p.src, p.dst)
-                cache[(p.src, p.dst)] = route
-            p.route = route
+            p.route = routes[p.src * n + p.dst]
             heapq.heappush(
                 self._pending_packets, (p.injection_cycle, self._pending_seq, p)
             )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packet import NoCConfig, Packet, segment_message
+from .packet import NoCConfig, Packet, message_flits, segment_message
+from .routing import route_tables
 from .topology import Mesh2D
 
 __all__ = ["TrafficMatrix", "uniform_random_traffic", "transpose_traffic", "neighbor_traffic"]
@@ -54,17 +55,12 @@ class TrafficMatrix:
             raise ValueError(
                 f"mesh has {mesh.num_nodes} nodes, matrix {self.num_nodes}"
             )
-        total = 0
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                b = int(self.bytes_matrix[src, dst])
-                if b == 0:
-                    continue
-                flits = sum(
-                    p.num_flits for p in segment_message(src, dst, b, config)
-                )
-                total += flits * mesh.hop_distance(src, dst)
-        return total
+        flits = message_flits(self.bytes_matrix, config)
+        return int((flits * route_tables(mesh).hops).sum())
+
+    def total_flits(self, config: NoCConfig) -> int:
+        """Head+payload flits of every message (``Packet.num_flits`` summed)."""
+        return int(message_flits(self.bytes_matrix, config).sum())
 
     def weighted_average_distance(self, mesh: Mesh2D) -> float:
         """Mean hop distance weighted by bytes moved (0 when no traffic)."""

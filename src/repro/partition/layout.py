@@ -117,15 +117,22 @@ def traffic_from_needs(
             f"need table has {needs.shape[1]} consumer columns, layout has {p} cores"
         )
     per_index_bytes = layout.values_per_index * bytes_per_value
-    m = np.zeros((p, p), dtype=np.int64)
-    for producer, (start, stop) in enumerate(layout.bounds):
-        if stop <= start:
-            continue
-        counts = needs[start:stop, :].sum(axis=0)  # indices sent to each consumer
-        for consumer in range(p):
-            if consumer == producer:
-                continue
-            m[producer, consumer] += int(counts[consumer]) * per_index_bytes
+    # counts[i, j] = inputs of producer i's slice that consumer j needs, as a
+    # difference of prefix sums of the need table at the slice bounds.  The
+    # prefix sums are only needed at the distinct bounds ("cuts"), so sum the
+    # table between consecutive cuts (reduceat) and cumsum those few rows.
+    rows = needs.shape[0]
+    bounds = np.asarray(layout.bounds, dtype=np.int64).reshape(p, 2).clip(0, rows)
+    starts, stops = bounds[:, 0], np.maximum(bounds[:, 1], bounds[:, 0])
+    cuts = np.unique(np.concatenate(([0], starts, stops)))
+    cuts = cuts[cuts < rows]
+    prefix = np.zeros((len(cuts) + 1, p), dtype=np.int64)  # prefix[k] = needs[:cuts[k]] summed
+    if len(cuts):
+        segments = np.add.reduceat(needs, cuts, axis=0, dtype=np.int64)
+        np.cumsum(segments, axis=0, out=prefix[1:])
+    counts = prefix[np.searchsorted(cuts, stops)] - prefix[np.searchsorted(cuts, starts)]
+    m = counts * per_index_bytes
+    np.fill_diagonal(m, 0)  # inputs a core produces itself stay local
     return TrafficMatrix(m, label=label)
 
 

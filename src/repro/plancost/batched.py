@@ -14,10 +14,13 @@ idiom of :mod:`repro.serve.fastpath`:
 * :class:`BatchedDrainModel` — the analytical drain estimate
   (:func:`repro.noc.analytical.estimate_drain_cycles`) over a stack of
   traffic matrices.  Flit counts come from the closed form
-  :func:`~repro.noc.analytical.message_flits`; per-link loads are a single
-  integer matmul against the cached :func:`~repro.noc.routing.route_tables`
-  usage matrix; source/sink/link bounds and the head-latency term are
-  whole-stack reductions.
+  :func:`~repro.noc.packet.message_flits`; per-link loads are a single
+  float64 (BLAS) matmul against the cached
+  :func:`~repro.noc.routing.route_tables` usage matrix, exact while each
+  matrix's flit total stays below ``2**53``
+  (:meth:`~repro.noc.routing.RouteTables.link_flits` raises otherwise);
+  source/sink/link bounds and the head-latency term are whole-stack
+  reductions.
 
 Both are property-tested element-for-element against the scalar reference
 implementations (``tests/plancost/``).
@@ -31,8 +34,8 @@ import numpy as np
 
 from ..accel.core import AcceleratorConfig
 from ..models.spec import LayerSpec
-from ..noc.analytical import AnalyticalEstimate, message_flits
-from ..noc.packet import NoCConfig
+from ..noc.analytical import AnalyticalEstimate
+from ..noc.packet import NoCConfig, message_flits
 from ..noc.routing import route_tables
 from ..noc.topology import Mesh2D
 
@@ -83,7 +86,8 @@ class BatchedDrainModel:
 
         Every scalar result equals ``estimate_drain_cycles`` on the same
         matrix; the batch shape ``...`` is arbitrary (a flat candidate list,
-        a (layers, prev-degree, degree) grid, ...).
+        a (layers, prev-degree, degree) grid, ...).  Raises
+        ``OverflowError`` if a matrix's flit total reaches ``2**53``.
         """
         cfg = self.config
         n = self.mesh.num_nodes
@@ -98,7 +102,7 @@ class BatchedDrainModel:
 
         out_flits = flits.sum(axis=-1).max(axis=-1, initial=0)
         in_flits = flits.sum(axis=-2).max(axis=-1, initial=0)
-        link = (flits.reshape(*flits.shape[:-2], n * n) @ self.tables.usage).max(
+        link = self.tables.link_flits(flits.reshape(*flits.shape[:-2], n * n)).max(
             axis=-1, initial=0
         )
         pair_hops = np.where(flits > 0, self.tables.hops, 0).max(

@@ -332,7 +332,7 @@ class InferenceSimulator:
         if traffic.total_bytes == 0:
             return 0, 0, EnergyBreakdown(0, 0, 0, 0), "none"
 
-        total_flits = sum(p.num_flits for p in traffic.to_packets(cfg))
+        total_flits = traffic.total_flits(cfg)
         mode = self.config.comm_mode
         if mode == "auto":
             mode = "cycle" if total_flits <= self.config.max_cycle_sim_flits else "scaled-cycle"

@@ -179,6 +179,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             sim.inject([Packet(src=0, dst=7, num_flits=2)])
 
+    @pytest.mark.parametrize("src,dst", [(7, 0), (-1, 3), (0, -2), (4, 1)])
+    def test_rejects_offmesh_src_or_dst(self, src, dst):
+        """Checked before the shared route table is indexed (a negative or
+        too-large id would otherwise wrap to some other pair's route)."""
+        sim = NoCSimulator(Mesh2D(2, 2), NoCConfig())
+        with pytest.raises(ValueError):
+            sim.inject([Packet(src=0, dst=1, num_flits=2), Packet(src=src, dst=dst, num_flits=2)])
+        assert sim.run().packets_delivered == 0
+
     def test_max_cycles_guard(self):
         mesh = Mesh2D(4, 4)
         sim = NoCSimulator(mesh, NoCConfig())

@@ -1,9 +1,10 @@
 """Tests for dimension-ordered routing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import Mesh2D, xy_route_path, xy_route_port
+from repro.noc import Mesh2D, xy_route_path, xy_route_port, xy_route_ports
 from repro.noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST
 
 
@@ -128,3 +129,79 @@ class TestRouteTables:
         with pytest.raises((ValueError, RuntimeError)):
             tables.usage[0, 0] = 99
         assert isinstance(tables.link_index((0, 1)), (int, np.integer))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (4, 4), (8, 8)])
+    def test_ports_match_xy_route_ports(self, shape):
+        from repro.noc import route_tables
+
+        mesh = Mesh2D(*shape)
+        tables = route_tables(mesh)
+        n = mesh.num_nodes
+        assert len(tables.ports) == n * n
+        for s in range(n):
+            for d in range(n):
+                assert tables.ports[s * n + d] == xy_route_ports(mesh, s, d)
+
+    def test_usage_is_float64_for_blas(self):
+        import numpy as np
+
+        from repro.noc import route_tables
+
+        assert route_tables(Mesh2D(4, 2)).usage.dtype == np.float64
+
+
+class TestLinkFlits:
+    """RouteTables.link_flits: exact float64 loads, guarded at 2**53."""
+
+    def test_matches_integer_product(self):
+        import numpy as np
+
+        from repro.noc import route_tables
+
+        tables = route_tables(Mesh2D(8, 8))
+        rng = np.random.default_rng(0)
+        flits = rng.integers(0, 2**40, size=(3, 64 * 64))
+        want = flits @ tables.usage.astype(np.int64)
+        got = tables.link_flits(flits)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("active", [0, 1, 16, 4096])
+    def test_single_burst_matches_integer_product(self, active):
+        import numpy as np
+
+        from repro.noc import route_tables
+
+        tables = route_tables(Mesh2D(8, 8))
+        rng = np.random.default_rng(active)
+        flits = np.zeros(64 * 64, dtype=np.int64)
+        pairs = rng.choice(64 * 64, size=active, replace=False)
+        flits[pairs] = rng.integers(1, 2**40, size=active)
+        got = tables.link_flits(flits)
+        assert got.shape == (len(tables.links),)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, flits @ tables.usage.astype(np.int64))
+
+    def test_total_just_below_limit_is_exact(self):
+        import numpy as np
+
+        from repro.noc import route_tables
+
+        tables = route_tables(Mesh2D(2, 2))
+        flits = np.zeros(16, dtype=np.int64)
+        flits[0 * 4 + 3] = 2**53 - 1  # 0 -> 3 crosses two links
+        loads = tables.link_flits(flits)
+        assert sorted(loads[loads > 0].tolist()) == [2**53 - 1, 2**53 - 1]
+
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_total_at_limit_raises(self, stack):
+        import numpy as np
+
+        from repro.noc import route_tables
+
+        tables = route_tables(Mesh2D(2, 2))
+        flits = np.zeros((*stack, 16), dtype=np.int64)
+        last = flits.reshape(-1, 16)[-1]  # a view: only the last entry
+        last[1] = last[2] = 2**52  # reaches a total of exactly 2**53
+        with pytest.raises(OverflowError):
+            tables.link_flits(flits)

@@ -1,6 +1,7 @@
 """Element-for-element tests of the batched kernels vs their scalar references."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,34 @@ class TestBatchedDrainModel:
             ref = estimate_drain_cycles(TrafficMatrix(stack[i]), mesh, config)
             assert est.one(i) == ref
             assert int(est.cycles[i]) == ref.cycles
+
+    @given(
+        shape=st.sampled_from([(8, 8), (4, 2)]),
+        seed=st.integers(0, 1000),
+        config=st.sampled_from([NoCConfig(), NoCConfig(max_packet_flits=4)]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_scalar_estimate_explicit_meshes(self, shape, seed, config):
+        """The 8x8 mesh (where the link-load matmul is largest) and a
+        non-square mesh, built explicitly rather than via for_nodes."""
+        mesh = Mesh2D(*shape)
+        model = BatchedDrainModel(mesh, config)
+        stack = _random_batch(mesh.num_nodes, 4, seed)
+        est = model.estimate(stack)
+        for i in range(len(stack)):
+            assert est.one(i) == estimate_drain_cycles(TrafficMatrix(stack[i]), mesh, config)
+
+    def test_flit_total_at_float_limit_raises(self):
+        """Link loads run as a float64 matmul; past 2**53 flits it could
+        round, so the estimate refuses instead of returning a wrong bound."""
+        model = BatchedDrainModel(Mesh2D(2, 2))
+        stack = np.zeros((2, 4, 4), dtype=np.int64)
+        stack[0, 0, 1] = 1_000
+        stack[1, 0, 3] = 2**60  # ~2**54 flits
+        with pytest.raises(OverflowError):
+            model.estimate(stack)
+        with pytest.raises(OverflowError):
+            estimate_drain_cycles(TrafficMatrix(stack[1]), Mesh2D(2, 2))
 
     def test_empty_matrix_is_zero(self):
         model = BatchedDrainModel(Mesh2D(4, 4))
