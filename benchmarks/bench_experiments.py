@@ -24,7 +24,7 @@ the numbers are report-only.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_experiments.py \\
-        [--profile fast] [--workers 2] [--strict] [--pool persistent] \\
+        [--profile fast] [--workers 2] [--strict] \\
         [--experiments table1 table3 ...]
 """
 
@@ -46,7 +46,7 @@ from repro.experiments import get_profile  # noqa: E402
 from repro.experiments.cache import clear_memo  # noqa: E402
 from repro.experiments.runner import EXPERIMENTS, run_all  # noqa: E402
 from repro.obs import METRICS  # noqa: E402
-from repro.parallel import shm, warmpool  # noqa: E402
+from repro.parallel import warmpool  # noqa: E402
 
 from benchmarks._host import host_fingerprint  # noqa: E402
 
@@ -54,7 +54,7 @@ from benchmarks._host import host_fingerprint  # noqa: E402
 #: internal pmap grids, so both sharding levels get exercised.
 DEFAULT_EXPERIMENTS = ("table1", "motivation", "table3", "tableS1")
 
-DISPATCH_PATHS = ("serial", "pool_warm", "pool_fresh")
+DISPATCH_PATHS = ("serial", "pool_warm")
 
 
 def _dispatch_counts() -> dict[str, float]:
@@ -83,10 +83,6 @@ def main() -> None:
         "--workers", type=int, default=2, help="parallel worker count to compare"
     )
     parser.add_argument(
-        "--pool", default=None, choices=warmpool.POOL_MODES,
-        help="pool strategy for the parallel runs (default: $REPRO_POOL/persistent)",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
         help="fail unless this machine's regime meets its targets: "
         "cold speedup >= --min-cold-speedup on >=2 cores, "
@@ -111,8 +107,6 @@ def main() -> None:
     unknown = [n for n in args.experiments if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; known: {list(EXPERIMENTS)}")
-    if args.pool is not None:
-        os.environ["REPRO_POOL"] = args.pool
 
     profile = get_profile(args.profile)
     timings: dict[str, float] = {}
@@ -142,7 +136,6 @@ def main() -> None:
         # The timed runs are done; drop the warm pool before the temp cache
         # directory (its workers' cwd-independent state) goes away.
         warmpool.shutdown()
-        shm.release_all()
 
     identical = tables["serial_cold_s"] == tables["parallel_cold_s"]
     cpu_count = os.cpu_count() or 1
@@ -153,7 +146,6 @@ def main() -> None:
         "workers": args.workers,
         "cpu_count": cpu_count,
         "host": host_fingerprint(),
-        "pool_mode": os.environ.get("REPRO_POOL", "persistent"),
         "experiments": list(args.experiments),
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "speedup_cold": round(timings["serial_cold_s"] / timings["parallel_cold_s"], 2),

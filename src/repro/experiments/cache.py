@@ -300,8 +300,7 @@ def cache_summary() -> str:
     Reads the global metrics registry, so in a parallel run it reflects the
     merged counts from every worker process.  The ``[parallel]`` line says
     how every ``pmap`` call dispatched — and, when calls stayed serial, why
-    (see ``parallel.dispatch.serial{reason=}`` in the metrics snapshot) —
-    plus what the shared-memory broadcast path carried.
+    (see ``parallel.dispatch.serial{reason=}`` in the metrics snapshot).
     """
     parts = []
     for kind in ("state", "json"):
@@ -322,12 +321,9 @@ def cache_summary() -> str:
     dispatch = " ".join(
         f"{path.removeprefix('pool_')}="
         f"{METRICS.counter('parallel.dispatch', path=path):g}"
-        for path in ("serial", "pool_warm", "pool_fresh")
+        for path in ("serial", "pool_warm")
     )
-    shm_bytes = METRICS.counter("parallel.shm.broadcast_bytes")
-    shm_tasks = METRICS.counter("parallel.shm.tasks")
     return (
         f"[cache] {' · '.join(parts)} · locks {locks}\n"
-        f"[parallel] dispatch {dispatch} · "
-        f"shm {shm_bytes:g} B broadcast across {shm_tasks:g} tasks"
+        f"[parallel] dispatch {dispatch}"
     )

@@ -14,16 +14,14 @@ keeps **one** ``ProcessPoolExecutor`` alive for the life of the process:
 * **Recycling** — the pool is torn down and respawned when the environment
   it was forked under goes stale: any ``REPRO_*`` variable change (cache
   directory, dtype, buffer-reuse knobs — everything workers consult), a
-  start-method change, a request for more workers than the pool holds, or a
-  broken pool after a worker crash.  ``REPRO_WORKERS`` / ``REPRO_POOL``
-  themselves are exempt: they are parent-side dispatch inputs, not worker
-  state.
+  request for more workers than the pool holds, or a broken pool after a
+  worker crash.  ``REPRO_WORKERS`` itself is exempt: it is a parent-side
+  dispatch input, not worker state.
 * **Idle-safe shutdown** — :func:`shutdown` runs via ``atexit``; an
   interpreter exit with an idle warm pool joins its workers cleanly.
 
-``REPRO_POOL`` selects the strategy per run: ``persistent`` (default) warm
-pool, ``fresh`` one pool per call (PR 4 behavior, kept for A/B timing), or
-``serial`` to force the in-process loop regardless of worker count.
+Workers start with ``fork`` where the platform has it (cheap, inherits the
+parent's imported modules) and ``spawn`` elsewhere.
 """
 
 from __future__ import annotations
@@ -35,35 +33,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 from ..obs import METRICS
 
-__all__ = ["POOL_MODES", "pool_mode", "get_executor", "shutdown", "discard"]
+__all__ = ["get_executor", "shutdown", "discard"]
 
-POOL_MODES = ("persistent", "fresh", "serial")
-
-#: Parent-side knobs that must NOT recycle the pool when they change.
-_NON_RECYCLING = frozenset({"REPRO_POOL", "REPRO_WORKERS"})
+#: ``fork`` where available: workers inherit imported modules for free.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 _executor: ProcessPoolExecutor | None = None
 _size = 0
-_method: str | None = None
 _fingerprint: tuple | None = None
-
-
-def pool_mode() -> str:
-    """The run's pool strategy: ``$REPRO_POOL`` or ``persistent``."""
-    mode = os.environ.get("REPRO_POOL", "persistent")
-    if mode not in POOL_MODES:
-        raise ValueError(f"REPRO_POOL={mode!r}; expected one of {POOL_MODES}")
-    return mode
-
-
-def _start_method() -> str:
-    """``fork`` where the platform has it (cheap, inherits warm state);
-    ``spawn`` elsewhere.  ``REPRO_MP_START`` overrides for debugging."""
-    override = os.environ.get("REPRO_MP_START")
-    if override:
-        return override
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 def _worker_init() -> None:
@@ -82,18 +59,16 @@ def env_fingerprint() -> tuple:
         sorted(
             (k, v)
             for k, v in os.environ.items()
-            if k.startswith("REPRO_") and k not in _NON_RECYCLING
+            if k.startswith("REPRO_") and k != "REPRO_WORKERS"
         )
     )
 
 
-def _stale_reason(workers: int, method: str, fingerprint: tuple) -> str | None:
+def _stale_reason(workers: int, fingerprint: tuple) -> str | None:
     if _executor is None:
         return None
     if getattr(_executor, "_broken", False):
         return "broken"
-    if method != _method:
-        return "start_method"
     if fingerprint != _fingerprint:
         return "env_changed"
     if workers > _size:
@@ -109,21 +84,19 @@ def get_executor(workers: int) -> ProcessPoolExecutor:
     oversized pool costs nothing until used).  Callers bound *concurrency*
     per call by windowing their submissions, not by pool size.
     """
-    global _executor, _size, _method, _fingerprint
-    method = _start_method()
+    global _executor, _size, _fingerprint
     fingerprint = env_fingerprint()
-    reason = _stale_reason(workers, method, fingerprint)
+    reason = _stale_reason(workers, fingerprint)
     if reason is not None:
         METRICS.inc("parallel.pool.recycled", reason=reason)
         shutdown()
     if _executor is None:
         _executor = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
+            mp_context=multiprocessing.get_context(START_METHOD),
             initializer=_worker_init,
         )
         _size = workers
-        _method = method
         _fingerprint = fingerprint
         METRICS.inc("parallel.pool.spawned")
     else:
@@ -138,9 +111,9 @@ def current_executor() -> ProcessPoolExecutor | None:
 
 def shutdown(wait: bool = True) -> None:
     """Tear down the warm pool (idempotent; re-spawns lazily on next use)."""
-    global _executor, _size, _method, _fingerprint
+    global _executor, _size, _fingerprint
     executor, _executor = _executor, None
-    _size, _method, _fingerprint = 0, None, None
+    _size, _fingerprint = 0, None
     if executor is not None:
         executor.shutdown(wait=wait, cancel_futures=True)
 

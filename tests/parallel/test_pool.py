@@ -1,14 +1,16 @@
-"""pmap: ordering, adaptive dispatch, chunking, error propagation, obs merge."""
+"""pmap: ordering, dispatch decisions, error propagation, obs merge."""
 
 from __future__ import annotations
 
+import functools
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.obs import METRICS
-from repro.parallel import default_workers, in_worker, pmap, resolve_workers
+from repro.parallel import default_workers, in_worker, pmap, pool, resolve_workers
 from repro.parallel.pool import _WORKER_ENV
 
 
@@ -43,6 +45,13 @@ def _nested_view(_: int) -> tuple[bool, int, list[int]]:
     return in_worker(), resolve_workers(4), inner
 
 
+def _state_fingerprint(_: int, state: dict | None = None) -> tuple:
+    return tuple(
+        (name, str(arr.dtype), arr.shape, float(arr.sum()))
+        for name, arr in sorted(state.items())
+    )
+
+
 def _traced_task(x: int) -> int:
     METRICS.inc("test.pool.work")
     with obs.span("child_work", item=x):
@@ -64,8 +73,18 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_WORKERS", "6")
         assert resolve_workers(2) == 2
 
-    def test_garbage_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_garbage_env_raises(self, monkeypatch, raw):
+        # Like ``--workers 0``: a malformed request must not silently run
+        # serial.
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers(None)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            pmap(_square, range(4))
+
+    def test_empty_env_is_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "")
         assert resolve_workers(None) == 1
 
     def test_worker_marker_forces_serial(self, monkeypatch):
@@ -128,6 +147,22 @@ class TestPmap:
             pmap(_boom, range(6), workers=2, label="boom")
         assert METRICS.counter("parallel.pmap.failed", pool="boom") == 1
 
+    def test_large_callable_matches_serial(self):
+        # A partial over a ~1 MiB float64 state dict ships with every task
+        # and must reach every worker bit-exact.
+        rng = np.random.default_rng(7)
+        state = {
+            "conv1.w": rng.standard_normal((64, 3, 5, 5)),
+            "conv1.b": rng.standard_normal(64),
+            "fc.w": rng.standard_normal((512, 256)),
+        }
+        assert sum(arr.nbytes for arr in state.values()) > 1 << 20
+        fn = functools.partial(_state_fingerprint, state=state)
+        METRICS.reset()
+        out = pmap(fn, range(6), workers=2)
+        assert out == [fn(x) for x in range(6)]
+        assert METRICS.counter("parallel.dispatch", path="pool_warm") == 1
+
     def test_pool_metrics(self):
         METRICS.reset()
         pmap(_square, range(5), workers=2, label="sq")
@@ -152,16 +187,10 @@ class TestAdaptiveDispatch:
         pmap(_square, range(6), workers=2)
         assert METRICS.counter("parallel.dispatch", path="pool_warm") == 1
 
-    def test_min_items_threshold_stays_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ITEMS", "10")
-        METRICS.reset()
-        assert set(pmap(_pid_of, range(6), workers=2)) == {os.getpid()}
-        assert METRICS.counter("parallel.dispatch.serial", reason="few_items") == 1
-
     def test_oversized_payload_stays_serial(self, monkeypatch):
         # Each item is ~64 KiB; with a 1 KiB per-task budget, IPC transfer
         # would dwarf the trivial task, so dispatch keeps the call serial.
-        monkeypatch.setenv("REPRO_PARALLEL_MAX_TASK_BYTES", "1024")
+        monkeypatch.setattr(pool, "MAX_TASK_BYTES", 1024)
         METRICS.reset()
         items = [bytes(65536) for _ in range(4)]
         assert pmap(len, items, workers=2) == [65536] * 4
@@ -180,45 +209,27 @@ class TestAdaptiveDispatch:
         assert METRICS.counter("parallel.dispatch", path="serial") == 0
 
 
-class TestChunking:
-    def test_explicit_chunksize_preserves_order(self):
-        METRICS.reset()
-        assert pmap(_square, range(10), workers=2, chunksize=3) == [
-            x * x for x in range(10)
-        ]
-        assert METRICS.counter("parallel.pmap.chunks", pool="_square") == 4
-        assert METRICS.counter("parallel.pmap.tasks", pool="_square") == 10
-
-    def test_auto_chunksize_batches_many_small_tasks(self):
-        METRICS.reset()
-        assert pmap(_square, range(64), workers=2) == [x * x for x in range(64)]
-        # 64 items / (2 workers * 4 chunks each) = chunksize 8.
-        assert METRICS.counter("parallel.pmap.chunks", pool="_square") == 8
-
-    def test_obs_merge_is_identical_under_chunking(self):
+class TestObsMerge:
+    def test_obs_merge_is_identical_to_serial(self):
         METRICS.reset()
         [_traced_task(x) for x in range(12)]
         serial = _snapshot_without_parallel_keys()
         METRICS.reset()
-        pmap(_traced_task, range(12), workers=2, chunksize=3)
-        chunked = _snapshot_without_parallel_keys()
-        assert serial == chunked
+        pmap(_traced_task, range(12), workers=2)
+        assert _snapshot_without_parallel_keys() == serial
 
-    def test_chunked_spans_still_reparent_under_pmap(self):
+    def test_spans_reparent_under_pmap_in_input_order(self):
         obs.enable_tracing()
         METRICS.reset()
-        pmap(_traced_task, range(8), workers=2, chunksize=4, label="chunked")
+        pmap(_traced_task, range(8), workers=2, label="ordered")
         records = obs.get_collector().records()
         pmap_spans = [r for r in records if r["name"] == "pmap"]
         children = [r for r in records if r["name"] == "child_work"]
         assert len(pmap_spans) == 1
         assert len(children) == 8
         assert {c["parent"] for c in children} == {pmap_spans[0]["id"]}
-        # Input order survives chunked shipment.
         assert [c["attrs"]["item"] for c in children] == list(range(8))
 
-
-class TestObsMerge:
     def test_worker_metrics_fold_into_parent(self):
         METRICS.reset()
         pmap(_traced_task, range(6), workers=2)

@@ -56,6 +56,14 @@ class TestCLIWorkers:
         with pytest.raises(SystemExit):
             main(["table1", "--workers", "0"])
 
+    def test_pool_flag_is_gone(self):
+        from repro.serve.cli import main as serve_main
+
+        with pytest.raises(SystemExit):
+            main(["table1", "--pool", "fresh"])
+        with pytest.raises(SystemExit):
+            serve_main(["--pool", "fresh"])
+
 
 class TestCLIObservability:
     @pytest.fixture(autouse=True)
