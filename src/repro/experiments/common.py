@@ -98,6 +98,9 @@ def train_baseline(
     Single-flight across processes: when parallel experiments race on the
     same baseline (Table IV and Table VI both need LeNet's), exactly one
     trains and the rest load its artifact.
+
+    Training evaluates nothing per epoch; the returned test accuracy is
+    computed once, after the weights are loaded.
     """
     dataset = dataset or dataset_for(network, profile)
     model = build_network(network, seed=profile.seed, **build_kwargs)
@@ -114,7 +117,7 @@ def train_baseline(
     )
 
     def train() -> dict[str, np.ndarray]:
-        Trainer(model, profile.baseline).fit(dataset)
+        Trainer(model, profile.baseline).fit(dataset, eval_every=0)
         return model.state_dict()
 
     state = ensure_state(key, train)

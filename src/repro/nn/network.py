@@ -12,6 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..obs import span
 from .layers.base import Layer, Parameter
 
 __all__ = ["Sequential"]
@@ -104,8 +105,9 @@ class Sequential:
         return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
-        """Top-1 accuracy on a labelled dataset."""
-        return float(np.mean(self.predict(x, batch_size=batch_size) == labels))
+        """Top-1 accuracy on a labelled dataset, inside an ``nn.eval`` span."""
+        with span("nn.eval", model=self.name, samples=int(x.shape[0])):
+            return float(np.mean(self.predict(x, batch_size=batch_size) == labels))
 
     # -- parameter access --------------------------------------------------------
 

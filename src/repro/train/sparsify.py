@@ -98,6 +98,9 @@ def train_sparsified(
     ``model`` is modified in place (train on a copy via ``load_state_dict``
     when the original must be preserved).  ``scheme`` selects between the
     uniform-strength **SS** and distance-masked **SS_Mask** variants.
+
+    Neither phase evaluates per epoch (their histories carry losses only);
+    the test set is evaluated once, after fine-tuning, for ``accuracy``.
     """
     config = config or SparsifyConfig()
     partitions = layer_block_partitions(model, num_cores)
@@ -110,7 +113,7 @@ def train_sparsified(
 
     # Phase 1: group-Lasso training with proximal steps (drives exact zeros).
     trainer = Trainer(model, config.sparsify, regularizer=regularizer, use_prox=True)
-    sparsify_history = trainer.fit(dataset, verbose=verbose)
+    sparsify_history = trainer.fit(dataset, eval_every=0, verbose=verbose)
 
     # Phase 2: hard-prune low-RMS blocks (diagonal protected: it carries no
     # communication cost, so zeroing it buys nothing and costs accuracy).
@@ -130,7 +133,7 @@ def train_sparsified(
 
     freeze_zeros(model)
     finetune_trainer = Trainer(model, config.finetune, post_step=freeze_zeros)
-    finetune_history = finetune_trainer.fit(dataset, verbose=verbose)
+    finetune_history = finetune_trainer.fit(dataset, eval_every=0, verbose=verbose)
 
     return SparsifyResult(
         model=model,

@@ -10,9 +10,16 @@ cross-entropy, with two extension points the sparsification recipes use:
 * a ``post_step`` hook invoked after every update, used to keep pruned
   blocks at zero during fine-tuning.
 
-Each epoch runs inside a ``train.epoch`` span (loss, reg-loss, accuracy, and
-— when tracing is on — weight sparsity as attributes) and reports
-``train.epoch_loss`` into the global metrics registry.
+Each epoch runs inside a ``train.epoch`` span (loss, reg-loss, test accuracy
+on evaluated epochs, and — when tracing is on — weight sparsity as
+attributes) and reports ``train.epoch_loss`` into the global metrics
+registry.
+
+Evaluation contract: ``fit(eval_every=k)`` computes test-set accuracy after
+every k-th epoch and after the last one; ``eval_every=0`` evaluates nothing.
+There is no train-set pass — a caller that wants train-set accuracy calls
+``model.accuracy(x_train, y_train)``.  Evaluation draws no RNG and updates
+no state, so the trained parameters do not depend on ``eval_every``.
 """
 
 from __future__ import annotations
@@ -105,8 +112,7 @@ class TrainHistory:
 
     loss: list[float] = field(default_factory=list)
     reg_loss: list[float] = field(default_factory=list)
-    train_accuracy: list[float] = field(default_factory=list)
-    test_accuracy: list[float] = field(default_factory=list)
+    test_accuracy: list[float] = field(default_factory=list)  # evaluated epochs only
 
     @property
     def final_test_accuracy(self) -> float:
@@ -170,7 +176,13 @@ class Trainer:
         eval_every: int = 1,
         verbose: bool = False,
     ) -> TrainHistory:
-        """Run the configured number of epochs; returns the history."""
+        """Run the configured number of epochs; returns the history.
+
+        Test-set accuracy is computed after every ``eval_every``-th epoch and
+        after the last one; ``eval_every=0`` never evaluates.
+        """
+        if eval_every < 0:
+            raise ValueError(f"eval_every must be non-negative, got {eval_every}")
         cfg = self.config
         dtype = cfg.resolved_dtype()
         self.model.astype(dtype)
@@ -222,17 +234,18 @@ class Trainer:
                 sp.set(loss=history.loss[-1], reg_loss=history.reg_loss[-1])
                 if tracing_enabled():
                     sp.set(sparsity=self._weight_sparsity())
-                if (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1:
-                    train_acc = self.model.accuracy(x_train, dataset.y_train)
+                if eval_every and (
+                    (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1
+                ):
                     test_acc = self.model.accuracy(x_test, dataset.y_test)
-                    history.train_accuracy.append(train_acc)
                     history.test_accuracy.append(test_acc)
-                    sp.set(train_accuracy=train_acc, test_accuracy=test_acc)
+                    sp.set(test_accuracy=test_acc)
                     if verbose:  # pragma: no cover - console output
                         print(
                             f"epoch {epoch + 1}/{cfg.epochs}: loss={history.loss[-1]:.4f} "
-                            f"train={train_acc:.4f} test={test_acc:.4f}"
+                            f"test={test_acc:.4f}"
                         )
-                self.model.train()
+                elif verbose:  # pragma: no cover - console output
+                    print(f"epoch {epoch + 1}/{cfg.epochs}: loss={history.loss[-1]:.4f}")
         self.model.eval()
         return history
